@@ -530,18 +530,7 @@ impl Tx {
         };
         stage.tree.task_started();
         let tag = order_tag(&self.tree, &parent.path.child_future(fork_idx));
-        // Contention-aware placement: if any cell this transaction has
-        // already written is pinned by the hotspot placer, route the future
-        // to that cell's worker group (aligned with the commit lane owning
-        // it). Unpinned or unplaced pools fall through to the global queue.
-        let group = self.env.pool.group_for_keys(
-            self.frames.iter().rev().flat_map(|f| f.written.iter()).map(|c| c.id().raw() as u64),
-        );
-        let task: rtf_taskpool::Task = Box::new(move || run_future_task(stage));
-        match group {
-            Some(g) => self.env.pool.spawn_ordered_in(g, tag, task),
-            None => self.env.pool.spawn_ordered(tag, task),
-        }
+        self.env.pool.spawn_ordered(tag, Box::new(move || run_future_task(stage)));
     }
 
     // ----------------------------------------------- sub-commit machinery

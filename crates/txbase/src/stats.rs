@@ -213,15 +213,13 @@ counters! {
     /// result still pending — the executor woke it for nothing (a spurious
     /// wake, or a wake raced by another helper).
     async_spurious_polls,
-    /// Read-write commits that ran on the single-lane fast path of the
-    /// sharded commit backbone (whole footprint hashed to one lane).
+    /// Never incremented: there is one commit chain. The three `lane_*`
+    /// fields stay declared only so the standalone `perfbench/` harness,
+    /// which reads them, still builds.
     lane_commits,
-    /// Commits whose footprint spanned several lanes and fell back to the
-    /// reconciling cross-lane order (write-lock + quiesce).
+    /// Never incremented (see `lane_commits`).
     lane_fallbacks,
-    /// Version draws completed on behalf of another lane committer (the
-    /// sharded analogue of `helped_writebacks`); each one leaves a
-    /// harmless gap in the version space.
+    /// Never incremented (see `lane_commits`).
     lane_helped_draws,
     /// Nanoseconds retry drivers spent sleeping in capped-exponential
     /// conflict backoff between attempts (0 when backoff is disabled).

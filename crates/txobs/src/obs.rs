@@ -161,9 +161,6 @@ impl MetricsSnapshot {
             ("wakers_fired".into(), Json::U64(c.wakers_fired)),
             ("async_polls".into(), Json::U64(c.async_polls)),
             ("async_spurious_polls".into(), Json::U64(c.async_spurious_polls)),
-            ("lane_commits".into(), Json::U64(c.lane_commits)),
-            ("lane_fallbacks".into(), Json::U64(c.lane_fallbacks)),
-            ("lane_helped_draws".into(), Json::U64(c.lane_helped_draws)),
             ("retry_backoff_ns".into(), Json::U64(c.retry_backoff_ns)),
             ("retry_backoffs".into(), Json::U64(c.retry_backoffs)),
             ("server_admitted".into(), Json::U64(c.server_admitted)),

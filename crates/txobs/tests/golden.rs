@@ -88,9 +88,6 @@ fn fixed_snapshot() -> MetricsSnapshot {
     m.counters.wakers_fired = 12;
     m.counters.async_polls = 30;
     m.counters.async_spurious_polls = 4;
-    m.counters.lane_commits = 80;
-    m.counters.lane_fallbacks = 6;
-    m.counters.lane_helped_draws = 2;
     let conflicts = ConflictTable::default();
     for _ in 0..3 {
         conflicts.record(rtf_txengine::ConflictKind::SubValidation, 0xbeef, 4);

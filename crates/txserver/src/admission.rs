@@ -44,9 +44,10 @@ pub struct AdmissionConfig {
     pub burst: f64,
     /// Hard cap on admitted-but-unfinished requests.
     pub max_inflight: usize,
-    /// Commit-lane depth at which read-only shedding starts (rung 1).
+    /// Commit backlog ([`rtf::Rtf::commit_lane_depth`]) at which read-only
+    /// shedding starts (rung 1).
     pub soft_lane_depth: u64,
-    /// Commit-lane depth at which everything new is shed (rung 2).
+    /// Commit backlog at which everything new is shed (rung 2).
     pub hard_lane_depth: u64,
     /// Pool queue depth at which read-only shedding starts (rung 1).
     pub soft_queue_depth: usize,

@@ -341,7 +341,13 @@ impl Server {
         }
         let leftover_inflight = shared.admission.inflight();
         // Stop executors and join them (queue is empty or flushing ends).
-        shared.stop_workers.store(true, Ordering::Release);
+        // The flag is set under the queue lock: an executor checks it and
+        // parks while holding that lock, so setting it unlocked could land
+        // between its check and its park and the notify would be lost.
+        {
+            let _q = shared.queue.lock();
+            shared.stop_workers.store(true, Ordering::Release);
+        }
         shared.qcv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();

@@ -272,3 +272,27 @@ fn soak_without_faults_reconciles() {
     assert!(report.drain.admitted > 0);
     assert!(report.load.ok > 0);
 }
+
+#[test]
+fn immediate_shutdown_wakes_every_executor() {
+    // Start then shut down at once, with no request in between: an executor
+    // that has checked the stop flag but not yet parked must still be woken.
+    // A lost wakeup hangs `shutdown` in the executor join; the watchdog turns
+    // that hang into a failure.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let cycles = std::thread::spawn(move || {
+        for _ in 0..200 {
+            let tm = rtf::Rtf::builder().workers(1).ordered(1).build();
+            let server = Server::start(tm, test_server_config()).unwrap();
+            assert!(server.shutdown().reconciled);
+        }
+        done_tx.send(()).unwrap();
+    });
+    match done_rx.recv_timeout(Duration::from_secs(30)) {
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("a start/shutdown cycle hung for 30 s")
+        }
+        // Disconnected means the cycle thread panicked; join re-raises it.
+        _ => cycles.join().unwrap(),
+    }
+}

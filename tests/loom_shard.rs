@@ -1,7 +1,5 @@
-//! Model-check-style tests for the sharded commit backbone: the publish
-//! ladder's clock reconciliation against concurrent reader snapshots, the
-//! cross-lane fallback racing single-lane fast-path commits, and the
-//! sharded registry's GC-watermark safety under churn.
+//! Model-check-style test for the sharded active-transaction registry:
+//! GC-watermark safety under registration churn.
 //!
 //! Compiled only under `--cfg loom` so the tier-1 `cargo test` run is
 //! unaffected:
@@ -12,163 +10,15 @@
 //!
 //! The vendored `loom` is an offline shim (randomized stress scheduling over
 //! the loom API, not exhaustive DPOR); swapping in the real crate requires
-//! no changes here. Each `loom::model` closure is one small, fixed scenario
+//! no changes here. The `loom::model` closure is one small, fixed scenario
 //! with full-state assertions.
 
 #![cfg(loom)]
 
 use loom::thread;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rtf_mvstm::{downcast, erase, CommitChain, CommitStrategy, CommitWrite, ReadSet, VBox};
-use rtf_txbase::{new_write_token, ActiveTxnRegistry, PublishLadder, ShardedClock};
-use rtf_txengine::NullSink;
-
-/// Clock reconciliation vs a reader's snapshot: two "lanes" complete their
-/// write-backs out of version order and mark the ladder; a racing reader
-/// that observes clock value `v` must see the payload of *every* version
-/// `<= v` — the resolvability invariant the ladder exists to preserve.
-#[test]
-fn ladder_reconciliation_vs_reader_snapshot() {
-    loom::model(|| {
-        let clock = Arc::new(ShardedClock::new(2));
-        let ladder = Arc::new(PublishLadder::new());
-        // data[v] stands for the permanent list entry of version v+1.
-        let data = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
-
-        let lane_b = {
-            let (clock, ladder, data) =
-                (Arc::clone(&clock), Arc::clone(&ladder), Arc::clone(&data));
-            thread::spawn(move || {
-                // Version 2 finishes its write-back first (out of order).
-                data[1].store(22, Ordering::Release);
-                ladder.mark(2, &clock);
-            })
-        };
-        let lane_a = {
-            let (clock, ladder, data) =
-                (Arc::clone(&clock), Arc::clone(&ladder), Arc::clone(&data));
-            thread::spawn(move || {
-                thread::yield_now();
-                data[0].store(11, Ordering::Release);
-                ladder.mark(1, &clock);
-            })
-        };
-        let reader = {
-            let (clock, data) = (Arc::clone(&clock), Arc::clone(&data));
-            thread::spawn(move || {
-                let v = clock.now();
-                // Whatever snapshot we got, every version <= v must be
-                // resolvable (its payload visible).
-                if v >= 1 {
-                    assert_eq!(data[0].load(Ordering::Acquire), 11, "v1 missing at clock {v}");
-                }
-                if v >= 2 {
-                    assert_eq!(data[1].load(Ordering::Acquire), 22, "v2 missing at clock {v}");
-                }
-                assert!(v <= 2);
-            })
-        };
-        lane_a.join().unwrap();
-        lane_b.join().unwrap();
-        reader.join().unwrap();
-        // A hole can never survive quiescence.
-        assert_eq!(clock.now(), 2);
-    });
-}
-
-/// Cross-lane fallback vs single-lane fast paths: concurrent read-modify-
-/// write increments of one cell (fast path) race a cross-lane commit whose
-/// footprint spans two lanes. Serializability must hold: the counter ends
-/// at exactly the number of successful increments, the cross-lane writes
-/// are both visible, and the clock covers every drawn version.
-#[test]
-fn cross_lane_fallback_vs_fast_path_serializes() {
-    loom::model(|| {
-        let chain = Arc::new(CommitChain::with_lanes(CommitStrategy::LockFreeHelping, 4));
-        let clock = Arc::new(ShardedClock::new(4));
-        let reg = Arc::new(ActiveTxnRegistry::new());
-        let counter = VBox::new(0u64);
-        // Find two boxes in different lanes for the cross-lane commit.
-        let extras: Vec<VBox<u64>> = (0..16).map(|_| VBox::new(0u64)).collect();
-        let (bi, bj) = {
-            let mut found = None;
-            'outer: for i in 0..extras.len() {
-                for j in (i + 1)..extras.len() {
-                    if chain.lane_of_id(extras[i].cell().id())
-                        != chain.lane_of_id(extras[j].cell().id())
-                    {
-                        found = Some((i, j));
-                        break 'outer;
-                    }
-                }
-            }
-            found.expect("two boxes in distinct lanes")
-        };
-        let (cross_a, cross_b) = (extras[bi].clone(), extras[bj].clone());
-
-        let incrementers: Vec<_> = (0..2)
-            .map(|_| {
-                let (chain, clock, reg, counter) =
-                    (Arc::clone(&chain), Arc::clone(&clock), Arc::clone(&reg), counter.clone());
-                thread::spawn(move || {
-                    let mut committed = 0u64;
-                    while committed < 2 {
-                        let _r = reg.register(clock.now());
-                        let start = clock.now();
-                        let (val, token) = counter.cell().read_at(start);
-                        let cur = *downcast::<u64>(val);
-                        let mut reads = ReadSet::new();
-                        reads.record(rtf_txengine::ReadRecord {
-                            cell: Arc::clone(counter.cell()),
-                            token,
-                            source: rtf_txengine::Source::Permanent,
-                            epoch: 0,
-                        });
-                        let w = CommitWrite {
-                            cell: Arc::clone(counter.cell()),
-                            value: erase(cur + 1),
-                            token: new_write_token(),
-                        };
-                        if chain.try_commit(&reads, vec![w], &clock, &reg, &NullSink).is_ok() {
-                            committed += 1;
-                        }
-                        thread::yield_now();
-                    }
-                })
-            })
-            .collect();
-        let cross = {
-            let (chain, clock, reg) = (Arc::clone(&chain), Arc::clone(&clock), Arc::clone(&reg));
-            thread::spawn(move || {
-                let writes = vec![
-                    CommitWrite {
-                        cell: Arc::clone(cross_a.cell()),
-                        value: erase(7u64),
-                        token: new_write_token(),
-                    },
-                    CommitWrite {
-                        cell: Arc::clone(cross_b.cell()),
-                        value: erase(8u64),
-                        token: new_write_token(),
-                    },
-                ];
-                chain
-                    .try_commit(&ReadSet::new(), writes, &clock, &reg, &NullSink)
-                    .expect("blind cross-lane write cannot conflict");
-            })
-        };
-        for h in incrementers {
-            h.join().unwrap();
-        }
-        cross.join().unwrap();
-        let now = clock.now();
-        assert_eq!(*downcast::<u64>(counter.cell().read_at(now).0), 4, "lost increment");
-        assert_eq!(*downcast::<u64>(extras[bi].cell().read_at(now).0), 7);
-        assert_eq!(*downcast::<u64>(extras[bj].cell().read_at(now).0), 8);
-    });
-}
+use rtf_txbase::ActiveTxnRegistry;
 
 /// Sharded-registry watermark safety: while any transaction is registered
 /// at version `v`, no `min_active` result may exceed `v` — the invariant GC

@@ -101,15 +101,25 @@ pub(crate) struct Frame {
 }
 
 impl Frame {
-    fn new(node: Arc<Node>, tree: &TreeCtx, env: &TxEnv) -> Frame {
+    fn new(node: Arc<Node>, ro_snapshot: u64, env: &TxEnv) -> Frame {
         Frame {
             node,
             reads: ReadLog::new(),
             written: Vec::new(),
             wrote: false,
-            ro_snapshot: tree.rw_commit_clock.load(Ordering::Acquire),
+            ro_snapshot,
             born_ns: if env.sink.spans_enabled() { obs_now_ns() } else { 0 },
         }
+    }
+
+    /// A fresh child node of `parent` and its frame. The §IV-E snapshot is
+    /// taken *before* the node records its ancestors' clocks: a read-write
+    /// sub-commit counted in the snapshot has then already bumped its
+    /// parent's clock (see `commit_frame`), so the new node sees its writes
+    /// and skipping validation cannot hide a missed one.
+    fn new_child(parent: &Arc<Node>, kind: NodeKind, tree: &TreeCtx, env: &TxEnv) -> Frame {
+        let ro_snapshot = tree.rw_commit_clock.load(Ordering::Acquire);
+        Frame::new(Node::new_child(parent, kind), ro_snapshot, env)
     }
 }
 
@@ -159,12 +169,11 @@ impl Drop for Tx {
 impl Tx {
     pub(crate) fn new_for_root(env: Arc<TxEnv>, tree: Arc<TreeCtx>, ro_mode: bool) -> Tx {
         let root = Arc::clone(&tree.root);
-        let frame = Frame::new(root, &tree, &env);
+        let frame = Frame::new(root, tree.rw_commit_clock.load(Ordering::Acquire), &env);
         Tx { env, tree, frames: vec![frame], ro_mode, reads_fast: 0, reads_slow: 0 }
     }
 
-    fn new_for_node(env: Arc<TxEnv>, tree: Arc<TreeCtx>, node: Arc<Node>, ro_mode: bool) -> Tx {
-        let frame = Frame::new(node, &tree, &env);
+    fn new_for_frame(env: Arc<TxEnv>, tree: Arc<TreeCtx>, frame: Frame, ro_mode: bool) -> Tx {
         Tx { env, tree, frames: vec![frame], ro_mode, reads_fast: 0, reads_slow: 0 }
     }
 
@@ -317,15 +326,15 @@ impl Tx {
         self.spawn_future_task(&parent, fork_idx, handle.clone(), body);
         parent.fork_count.store(fork_idx + 1, Ordering::Relaxed);
         // The cursor descends into the continuation.
-        let cnode = Node::new_child(&parent, NodeKind::Continuation { fork_idx });
+        let frame =
+            Frame::new_child(&parent, NodeKind::Continuation { fork_idx }, &self.tree, &self.env);
         tx_trace!(
             self.env.sink,
             "submit: parent {:?} fork {} cont {:?}",
             parent.id,
             fork_idx,
-            cnode.id
+            frame.node.id
         );
-        let frame = Frame::new(cnode, &self.tree, &self.env);
         self.frames.push(frame);
         handle
     }
@@ -363,8 +372,12 @@ impl Tx {
         let depth = self.frames.len();
         loop {
             self.check_poison();
-            let cnode = Node::new_child(&parent, NodeKind::Continuation { fork_idx });
-            let frame = Frame::new(cnode, &self.tree, &self.env);
+            let frame = Frame::new_child(
+                &parent,
+                NodeKind::Continuation { fork_idx },
+                &self.tree,
+                &self.env,
+            );
             self.frames.push(frame);
             let out = cont(self, &handle);
             match self.commit_frames_down_to(depth) {
@@ -816,9 +829,18 @@ fn commit_frame(
         // write only becomes visible to later sub-transactions once it has
         // propagated into a common ancestor, and that propagation step is
         // this (possibly itself read-only) node's commit.
+        //
+        // The count moves on both sides of the bump. The first step is seen
+        // by any waiter the bump wakes, so a sibling that read before this
+        // commit cannot skip its validation. The second step is seen only
+        // after the bump, so a node whose §IV-E snapshot already counts this
+        // commit also sees its writes (see `Frame::new_child`).
         tree.rw_commit_clock.fetch_add(1, Ordering::AcqRel);
     }
     parent.bump_nclock();
+    if wrote_any {
+        tree.rw_commit_clock.fetch_add(1, Ordering::AcqRel);
+    }
     env.sink.event(Event::SubCommit);
     if spans && frame.born_ns != 0 {
         let kind = match node.kind {
@@ -924,19 +946,23 @@ where
         }
         if stage.pending.is_none() {
             // Execute (or re-execute) the body in a fresh node attempt.
-            let node =
-                Node::new_child(&stage.parent, NodeKind::Future { fork_idx: stage.fork_idx });
+            let frame = Frame::new_child(
+                &stage.parent,
+                NodeKind::Future { fork_idx: stage.fork_idx },
+                &stage.tree,
+                &stage.env,
+            );
             tx_trace!(
                 stage.env.sink,
                 "task run future {:?} parent {:?} fork {}",
-                node.id,
+                frame.node.id,
                 stage.parent.id,
                 stage.fork_idx
             );
-            let mut tx = Tx::new_for_node(
+            let mut tx = Tx::new_for_frame(
                 Arc::clone(&stage.env),
                 Arc::clone(&stage.tree),
-                node,
+                frame,
                 stage.ro_mode,
             );
             let body = &stage.body;

@@ -45,8 +45,26 @@ enum Driver {
 /// per-lane hash chain plus a contended shared total, committing in
 /// submission order through the ordered lane.
 fn record_run(seed: u64, shards: usize, txns: usize, driver: Driver) -> ReplayArtifact {
+    record_run_lanes(seed, shards, txns, driver, 1)
+}
+
+/// Same run with an explicit `commit_lanes` request. The sharded backbone
+/// it once selected is gone — every runtime commits through one chain — so
+/// the request must be invisible to the async front-ends' artifacts.
+fn record_run_lanes(
+    seed: u64,
+    shards: usize,
+    txns: usize,
+    driver: Driver,
+    lanes: usize,
+) -> ReplayArtifact {
     let log = CommitLog::new();
-    let tm = Rtf::builder().workers(2).ordered(shards).event_sink(Arc::clone(&log) as _).build();
+    let tm = Rtf::builder()
+        .workers(2)
+        .ordered(shards)
+        .commit_lanes(lanes)
+        .event_sink(Arc::clone(&log) as _)
+        .build();
     let chains: Arc<Vec<VBox<u64>>> = Arc::new((0..shards).map(|_| VBox::new(0u64)).collect());
     let total = VBox::new(0u64);
 
@@ -111,6 +129,24 @@ fn sync_async_and_batched_async_artifacts_are_bit_identical() {
                 sync.diff(&run),
                 None,
                 "seed {seed:#x} diverged between sync and {driver:?}"
+            );
+        }
+    }
+}
+
+/// The lanes axis: every async front-end on a runtime that asks for a
+/// sharded chain (`commit_lanes(4)`, now a no-op) produces an artifact
+/// bit-identical to the single-chain sync baseline.
+#[test]
+fn async_front_ends_on_sharded_chain_match_single_chain_sync() {
+    for (seed, shards) in [(3u64, 1usize), (0xFEED, 2)] {
+        let baseline = record_run_lanes(seed, shards, 60, Driver::Sync, 1);
+        for driver in [Driver::Sync, Driver::Async, Driver::AsyncBatch] {
+            let run = record_run_lanes(seed, shards, 60, driver, 4);
+            assert_eq!(
+                baseline.diff(&run),
+                None,
+                "seed {seed:#x} diverged between single-chain sync and sharded {driver:?}"
             );
         }
     }

@@ -27,8 +27,26 @@ fn payload(seed: u64, k: u64) -> u64 {
 /// round-robin, each folding its payload into its lane's hash chain and
 /// bumping a contended shared total.
 fn record_run(seed: u64, shards: usize, tickets: usize, threads: usize) -> ReplayArtifact {
+    record_run_lanes(seed, shards, tickets, threads, 1)
+}
+
+/// Same workload with an explicit `commit_lanes` request. Every runtime
+/// commits through one chain, so the request must not perturb the
+/// artifact.
+fn record_run_lanes(
+    seed: u64,
+    shards: usize,
+    tickets: usize,
+    threads: usize,
+    lanes: usize,
+) -> ReplayArtifact {
     let log = CommitLog::new();
-    let tm = Rtf::builder().workers(2).ordered(shards).event_sink(Arc::clone(&log) as _).build();
+    let tm = Rtf::builder()
+        .workers(2)
+        .ordered(shards)
+        .commit_lanes(lanes)
+        .event_sink(Arc::clone(&log) as _)
+        .build();
     let chains: Arc<Vec<VBox<u64>>> = Arc::new((0..shards).map(|_| VBox::new(0u64)).collect());
     let total = VBox::new(0u64);
 
@@ -105,6 +123,24 @@ fn different_seeds_diverge() {
     let d = a.diff(&b).expect("different seeds must diverge");
     assert!(d.contains("seed"), "first divergence should be the seed: {d}");
     assert_ne!(a.state_hash, b.state_hash, "order-dependent hash collided across seeds");
+}
+
+/// The lanes axis: a runtime that asks for a sharded chain
+/// (`commit_lanes(4)` or `(16)`, now a no-op) yields, across thread counts,
+/// an artifact bit-identical to the single-chain (`lanes == 1`) baseline.
+#[test]
+fn sharded_chain_replays_bit_identical_to_single_chain() {
+    for (seed, shards) in [(1u64, 1usize), (7, 2)] {
+        let baseline = record_run_lanes(seed, shards, 120, 3, 1);
+        for (threads, lanes) in [(3, 4), (1, 4), (6, 4), (3, 16)] {
+            let run = record_run_lanes(seed, shards, 120, threads, lanes);
+            assert_eq!(
+                baseline.diff(&run),
+                None,
+                "seed {seed:#x} diverged at {threads} threads / {lanes} lanes"
+            );
+        }
+    }
 }
 
 /// Cross-mode equivalence: on a commutative workload (pure additions) the

@@ -748,4 +748,37 @@ mod tests {
         assert_eq!(s.tickets_abandoned, 1, "cancelled tx: {s:?}");
         assert_eq!(s.top_ro_commits, 1);
     }
+
+    #[test]
+    fn reads_clone_each_cell_once_and_release_it_at_commit() {
+        // Reference counts of the read cells, sampled from inside the body:
+        // a read-only read records nothing, a recorded read clones its cell
+        // once, and that clone moves (not re-clones) through the future's
+        // sub-commit into the root's read-set, which drops it at commit.
+        let tm = Rtf::builder().workers(0).build();
+        let boxes = Arc::new([VBox::new(1u64), VBox::new(2u64)]);
+        // Written, not counted: the commit chain keeps its newest record,
+        // and with it the written cell, until the next commit.
+        let out = VBox::new(0u64);
+        let count = |i: usize| Arc::strong_count(boxes[i].cell());
+        let base = [count(0), count(1)];
+        tm.atomic_ro(|tx| {
+            let _ = *tx.read(&boxes[0]);
+            let _ = *tx.read(&boxes[0]);
+            assert_eq!(count(0), base[0], "atomic_ro must not clone the cell");
+        });
+        tm.atomic(|tx| {
+            let _ = *tx.read(&boxes[0]);
+            assert_eq!(count(0), base[0] + 1, "one recorded read, one clone");
+            let theirs = Arc::clone(&boxes);
+            let f = tx.submit(move |tx| *tx.read(&theirs[1]));
+            assert_eq!(*tx.eval(&f), 2);
+            assert_eq!(count(1), base[1] + 1, "the future's read moved into the parent");
+            assert_eq!(count(0), base[0] + 1);
+            let v = *tx.read(&boxes[1]);
+            tx.write(&out, v + 1);
+        });
+        assert_eq!([count(0), count(1)], base, "every clone is released once atomic returns");
+        assert_eq!(*out.read_committed(), 3);
+    }
 }

@@ -1075,12 +1075,7 @@ impl Rtf {
                     commit_span(false);
                     return RootCommit::Stalled { waited_ms };
                 }
-                let inbox = std::mem::take(&mut *tree.root.inbox.lock());
-                let mut reads = ReadSet::new();
-                for (cell, token) in inbox.perm_reads {
-                    reads.record(ReadRecord { cell, token, source: Source::Permanent, epoch: 0 });
-                }
-                if inner.mvstm.chain().validate_ro(&reads, sink.as_ref()).is_err() {
+                if inner.mvstm.chain().validate_ro(&root_read_set(tree), sink.as_ref()).is_err() {
                     sink.event(Event::TopValidationAbort);
                     tree.scrub_tentative();
                     commit_span(false);
@@ -1093,15 +1088,7 @@ impl Rtf {
             return RootCommit::Committed;
         }
 
-        // Consolidated read-set: the root's own permanent reads were merged
-        // into its inbox by the implicit-chain commit; sub-transactions
-        // merged theirs on their commits. First read of a cell wins, which
-        // `ReadSet::record` guarantees.
-        let inbox = std::mem::take(&mut *tree.root.inbox.lock());
-        let mut reads = ReadSet::new();
-        for (cell, token) in inbox.perm_reads {
-            reads.record(ReadRecord { cell, token, source: Source::Permanent, epoch: 0 });
-        }
+        let reads = root_read_set(tree);
 
         let mut stalled: Option<u64> = None;
         let result = {
@@ -1171,6 +1158,20 @@ impl Rtf {
     pub fn config(&self) -> &RtfConfig {
         &self.inner.config
     }
+}
+
+/// The root's consolidated read-set, moved out of its inbox: the root's own
+/// permanent reads were merged there by the implicit-chain commit, and
+/// sub-transactions merged theirs on their commits. Each record's cell
+/// `Arc` moves in without a clone; first read of a cell wins, which
+/// `ReadSet::record` guarantees.
+fn root_read_set(tree: &TreeCtx) -> ReadSet {
+    let perm_reads = std::mem::take(&mut *tree.root.inbox.lock()).perm_reads;
+    let mut reads = ReadSet::with_capacity(perm_reads.len());
+    for (cell, token) in perm_reads {
+        reads.record(ReadRecord { cell, token, source: Source::Permanent, epoch: 0 });
+    }
+    reads
 }
 
 impl Default for Rtf {

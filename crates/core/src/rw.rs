@@ -42,7 +42,7 @@ use rtf_txbase::{
     new_write_token, NodeId, OrderKey, Orec, OrecStatus, TreeId, Version, WriteToken,
 };
 use rtf_txengine::{
-    resolve_read, tentative_insert, CellId, ConflictSite, ReadPath, ReadRecord, Source,
+    resolve_read, tentative_insert, CellId, ConflictSite, ReadRecord, Resolution, Source,
     TentativeEntry, VBoxCell, Val, Visibility,
 };
 
@@ -213,6 +213,10 @@ impl Visibility for SubValidation<'_> {
         self.tree.root_ws_get(id)
     }
 
+    fn local_token(&self, id: CellId) -> Option<WriteToken> {
+        self.tree.root_ws_token(id)
+    }
+
     fn snapshot(&self) -> Version {
         self.tree.start_version
     }
@@ -226,24 +230,18 @@ impl Visibility for SubValidation<'_> {
 /// Transactional read by a sub-transaction (Alg 2). Returns the value and
 /// the read-set record.
 pub fn sub_read(tree: &TreeCtx, node: &Node, cell: &Arc<VBoxCell>) -> (Val, ReadRecord) {
-    let (value, record, _) = sub_read_traced(tree, node, cell);
-    (value, record)
+    let r = resolve_read(&SubRead::new(tree, node), cell);
+    let record = read_record(node, cell, &r);
+    (r.value, record)
 }
 
-/// [`sub_read`], also reporting which permanent-list path served the read
-/// (accumulated into the `read_fast`/`read_slow` stats by the caller).
-pub fn sub_read_traced(
-    tree: &TreeCtx,
-    node: &Node,
-    cell: &Arc<VBoxCell>,
-) -> (Val, ReadRecord, ReadPath) {
+/// The read-set record of `r`, a read of `cell` by `node` in its current
+/// epoch. Building it is the one clone of the cell `Arc` a recorded read
+/// makes: the record then moves, never cloned, from the frame's log into
+/// the parent's inbox and on into the root's read-set.
+pub fn read_record(node: &Node, cell: &Arc<VBoxCell>, r: &Resolution) -> ReadRecord {
     let epoch = node.fork_count.load(std::sync::atomic::Ordering::Relaxed);
-    let r = resolve_read(&SubRead::new(tree, node), cell);
-    (
-        r.value,
-        ReadRecord { cell: Arc::clone(cell), token: r.token, source: r.source, epoch },
-        r.path,
-    )
+    ReadRecord { cell: Arc::clone(cell), token: r.token, source: r.source, epoch }
 }
 
 /// Transactional write by a sub-transaction (Alg 1). On success the new

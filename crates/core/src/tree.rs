@@ -160,6 +160,11 @@ impl TreeCtx {
         self.root_ws.read().get(id)
     }
 
+    /// Token of the top-level private write of `id`, if any.
+    pub fn root_ws_token(&self, id: CellId) -> Option<WriteToken> {
+        self.root_ws.read().token(id)
+    }
+
     /// Buffers a top-level private write.
     pub fn root_ws_put(&self, cell: &Arc<VBoxCell>, value: Val) {
         self.root_ws.write().put(cell, value);

@@ -39,15 +39,17 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use rtf_taskpool::{OrderTag, Pool};
+use rtf_txbase::WriteToken;
 use rtf_txengine::{
-    downcast, erase, obs_now_ns, read_pin, tx_trace, ConflictKind, Event, EventSink, ReadLog,
-    ReadPath, Source, SpanKind, SpanRec, StallKind, TxData, VBox, VBoxCell, Val, WaitSiteGuard,
+    downcast, erase, obs_now_ns, read_pin, resolve_read, tx_trace, ConflictKind, Event, EventSink,
+    ReadLog, ReadPath, Source, SpanKind, SpanRec, StallKind, TxData, VBox, VBoxCell, Val,
+    WaitSiteGuard,
 };
 
 use crate::error::TxError;
 use crate::future::TxFuture;
 use crate::node::{Node, NodeKind};
-use crate::rw::{sub_read_traced, sub_write, validate_reads_detailed};
+use crate::rw::{read_record, sub_write, validate_reads_detailed, SubRead};
 use crate::stall::{StallAction, StallThresholds, StallWatch};
 use crate::tree::{PoisonKind, TreeCtx};
 
@@ -239,15 +241,17 @@ impl Tx {
     pub fn read_cell(&mut self, cell: &Arc<VBoxCell>) -> Val {
         self.check_poison();
         let frame = self.frames.last_mut().expect("entry frame");
-        let (val, entry, path) = sub_read_traced(&self.tree, &frame.node, cell);
-        match path {
+        let r = resolve_read(&SubRead::new(&self.tree, &frame.node), cell);
+        match r.path {
             ReadPath::Fast => self.reads_fast += 1,
             ReadPath::Slow => self.reads_slow += 1,
         }
+        // A read-only transaction never validates, so it records nothing
+        // and leaves the cell's reference count alone.
         if !self.ro_mode {
-            frame.reads.push(entry);
+            frame.reads.push(read_record(&frame.node, cell, &r));
         }
-        val
+        r.value
     }
 
     // --------------------------------------------------------------- writes
@@ -552,7 +556,7 @@ impl Tx {
     /// `waitTurn` as needed (client-thread use only; see [`CommitBlock`]).
     pub(crate) fn commit_frames_down_to(&mut self, depth: usize) -> Result<(), SubConflict> {
         while self.frames.len() > depth {
-            let frame = self.frames.last().expect("frames non-empty");
+            let frame = self.frames.last_mut().expect("frames non-empty");
             match commit_frame(&self.env, &self.tree, frame, true) {
                 Ok(()) => {
                     self.frames.pop();
@@ -571,7 +575,7 @@ impl Tx {
     /// the task can re-queue itself instead of occupying a thread.
     pub(crate) fn try_commit_frames_down_to(&mut self, depth: usize) -> Result<(), CommitBlock> {
         while self.frames.len() > depth {
-            let frame = self.frames.last().expect("frames non-empty");
+            let frame = self.frames.last_mut().expect("frames non-empty");
             commit_frame(&self.env, &self.tree, frame, false)?;
             self.frames.pop();
         }
@@ -597,15 +601,14 @@ impl Tx {
     /// frame (the root's own reads have no committing parent to merge them).
     pub(crate) fn merge_entry_frame_reads(&mut self) {
         let frame = self.frames.first_mut().expect("entry frame");
-        let mut inbox = frame.node.inbox.lock();
-        inbox.perm_reads.extend(
-            frame
-                .reads
-                .iter()
-                .filter(|r| r.source == Source::Permanent)
-                .map(|r| (Arc::clone(&r.cell), r.token)),
-        );
+        frame.node.inbox.lock().perm_reads.extend(permanent_reads(&mut frame.reads));
     }
+}
+
+/// Moves the permanent reads out of a committed frame's log, for top-level
+/// validation at the root. The records' cell `Arc`s move with them.
+fn permanent_reads(reads: &mut ReadLog) -> impl Iterator<Item = (Arc<VBoxCell>, WriteToken)> + '_ {
+    reads.drain().filter(|r| r.source == Source::Permanent).map(|r| (r.cell, r.token))
 }
 
 /// The pool-level serialization tag of position `key` within `tree` (the
@@ -638,7 +641,7 @@ pub(crate) enum CommitBlock {
 fn commit_frame(
     env: &TxEnv,
     tree: &TreeCtx,
-    frame: &Frame,
+    frame: &mut Frame,
     blocking: bool,
 ) -> Result<(), CommitBlock> {
     let node = &frame.node;
@@ -813,15 +816,9 @@ fn commit_frame(
         let mut pin = parent.inbox.lock();
         pin.adopted_orecs.extend(orecs);
         pin.perm_reads.extend(inbox.perm_reads);
-        pin.perm_reads.extend(
-            frame
-                .reads
-                .iter()
-                .filter(|r| r.source == Source::Permanent)
-                .map(|r| (Arc::clone(&r.cell), r.token)),
-        );
+        pin.perm_reads.extend(permanent_reads(&mut frame.reads));
         pin.written_cells.extend(inbox.written_cells);
-        pin.written_cells.extend(frame.written.iter().cloned());
+        pin.written_cells.append(&mut frame.written);
     }
     if wrote_any {
         // Count every write-carrying sub-commit — own writes *or* adopted

@@ -592,4 +592,44 @@ mod tests {
         });
         assert!(chain.validate_ro(&stale, &NullSink).is_err());
     }
+
+    #[test]
+    fn validation_never_clones_values() {
+        // Validation compares write tokens only. Every validated version
+        // here shares one value `Arc`, and a watcher samples its strong
+        // count while `validate_ro` and `try_commit` validate: a clone
+        // anywhere in the loop would show as a count above the baseline.
+        let (chain, clock, reg) = harness();
+        let shared = erase(7u64);
+        let boxes: Vec<VBox<u64>> = (0..256).map(|_| VBox::new(0u64)).collect();
+        let mut reads = ReadSet::new();
+        for b in &boxes {
+            b.cell().apply_commit(1, Arc::clone(&shared), new_write_token(), 0);
+            reads.record(read_obs(b, 1));
+        }
+        let base = Arc::strong_count(&shared);
+        let other = VBox::new(0u64);
+        let done = AtomicBool::new(false);
+        let peak = std::thread::scope(|s| {
+            let watcher = s.spawn(|| {
+                let mut peak = 0;
+                loop {
+                    peak = peak.max(Arc::strong_count(&shared));
+                    if done.load(Ordering::Acquire) {
+                        return peak;
+                    }
+                }
+            });
+            for i in 0..100u64 {
+                assert!(chain.validate_ro(&reads, &NullSink).is_ok());
+                chain
+                    .try_commit(&reads, vec![write_of(&other, i)], &clock, &reg, &NullSink)
+                    .unwrap();
+            }
+            done.store(true, Ordering::Release);
+            watcher.join().unwrap()
+        });
+        assert_eq!(peak, base, "validation cloned a value");
+        assert_eq!(Arc::strong_count(&shared), base);
+    }
 }

@@ -14,9 +14,12 @@
 //! entries count as visible (none at top level; the `ancVer`/`nClock` rules
 //! for sub-transactions; the order-cutoff rules at validation) and which
 //! snapshot bounds the permanent lookup (the transaction's start version for
-//! reads; "latest" for top-level validation). [`resolve_read`] is the single
-//! walk; [`validate_reads`] is the single validation loop, re-resolving each
-//! recorded read under a validation policy and comparing write identities.
+//! reads; "latest" for top-level validation). One walk answers them;
+//! [`resolve_read`] runs it for a read and returns the value, and
+//! [`validate_reads`] is the single validation loop, running the same walk
+//! for each recorded read under a validation policy and comparing write
+//! identities. Validation projects only the token and writer tree out of
+//! the version it lands on, so it never touches a value's reference count.
 //!
 //! Validation by token comparison subsumes the classic version comparison:
 //! write tokens are unique per write, so "re-resolving yields the same token"
@@ -28,7 +31,7 @@ use std::sync::Arc;
 
 use rtf_txbase::{TreeId, Version, WriteToken};
 
-use crate::cell::{CellId, ReadPath, TentativeEntry, VBoxCell};
+use crate::cell::{CellId, PermVersion, ReadPath, TentativeEntry, VBoxCell};
 use crate::readset::{ReadRecord, Source};
 use crate::value::Val;
 
@@ -44,6 +47,13 @@ pub trait Visibility {
     /// Local buffered write for `id` (top-level write-set / root write-set),
     /// consulted after the tentative walk and before the permanent list.
     fn local(&self, id: CellId) -> Option<(Val, WriteToken)>;
+
+    /// The token of [`Visibility::local`]'s answer, without the value —
+    /// what validation compares. Policies whose local buffer can answer
+    /// without cloning the value should override the default.
+    fn local_token(&self, id: CellId) -> Option<WriteToken> {
+        self.local(id).map(|(_, token)| token)
+    }
 
     /// Snapshot version bounding the permanent-list fallback.
     fn snapshot(&self) -> Version;
@@ -84,10 +94,48 @@ pub struct Resolution {
     pub path: ReadPath,
 }
 
-/// Resolves one read of `cell` under `policy` — the only read-resolution
-/// walk in the workspace (tentative list, then local buffer, then permanent
-/// versions).
+/// Resolves one read of `cell` under `policy` (tentative list, then local
+/// buffer, then permanent versions), returning the observed value.
 pub fn resolve_read<V: Visibility + ?Sized>(policy: &V, cell: &Arc<VBoxCell>) -> Resolution {
+    walk(
+        policy,
+        cell,
+        |entry, source| Resolution {
+            value: entry.value.clone(),
+            token: entry.token,
+            source,
+            writer_tree: entry.tree,
+            path: ReadPath::Fast,
+        },
+        |id| {
+            policy.local(id).map(|(value, token)| Resolution {
+                value,
+                token,
+                source: Source::Local,
+                writer_tree: TreeId::NONE,
+                path: ReadPath::Fast,
+            })
+        },
+        |version, path| Resolution {
+            value: version.value.clone(),
+            token: version.token,
+            source: Source::Permanent,
+            writer_tree: TreeId::NONE,
+            path,
+        },
+    )
+}
+
+/// The only read-resolution walk in the workspace. Each layer hands the
+/// write it lands on to its projection in place, so a caller that needs
+/// only the write's identity (validation) never clones the value.
+fn walk<V: Visibility + ?Sized, R>(
+    policy: &V,
+    cell: &Arc<VBoxCell>,
+    tentative: impl FnOnce(&TentativeEntry, Source) -> R,
+    local: impl FnOnce(CellId) -> Option<R>,
+    permanent: impl FnOnce(&PermVersion, ReadPath) -> R,
+) -> R {
     // The owner tag lets readers skip the tentative mutex when the list is
     // empty or holds only entries their tree-filtering rule would reject —
     // the common case for every read class except the writer's own tree.
@@ -95,27 +143,14 @@ pub fn resolve_read<V: Visibility + ?Sized>(policy: &V, cell: &Arc<VBoxCell>) ->
         let list = cell.tentative_lock();
         for entry in list.iter() {
             if let Some(source) = policy.tentative(entry) {
-                return Resolution {
-                    value: entry.value.clone(),
-                    token: entry.token,
-                    source,
-                    writer_tree: entry.tree,
-                    path: ReadPath::Fast,
-                };
+                return tentative(entry, source);
             }
         }
     }
-    if let Some((value, token)) = policy.local(cell.id()) {
-        return Resolution {
-            value,
-            token,
-            source: Source::Local,
-            writer_tree: TreeId::NONE,
-            path: ReadPath::Fast,
-        };
+    if let Some(hit) = local(cell.id()) {
+        return hit;
     }
-    let (value, token, path) = cell.read_at_traced(policy.snapshot());
-    Resolution { value, token, source: Source::Permanent, writer_tree: TreeId::NONE, path }
+    cell.with_version_at(policy.snapshot(), permanent)
 }
 
 /// The cell a validation failed on, and (when the displacing write is still
@@ -132,7 +167,8 @@ pub struct ConflictSite {
 
 /// Validates a set of recorded reads — the only token-validation loop in the
 /// workspace. Each read is re-resolved under the policy `policy_for` builds
-/// for it, and stays valid iff it would observe the same write again.
+/// for it, and stays valid iff it would observe the same write again. Only
+/// write tokens are compared: no value is cloned.
 ///
 /// Reads served from the reader's own write ([`Source::OwnWrite`]) are
 /// exempt: nobody else can displace them before the reader commits.
@@ -158,9 +194,16 @@ where
         if r.source == Source::OwnWrite {
             continue;
         }
-        let res = resolve_read(&policy_for(r), &r.cell);
-        if res.token != r.token {
-            return Err(ConflictSite { cell: r.cell.id(), writer_tree: res.writer_tree });
+        let policy = policy_for(r);
+        let (token, writer_tree) = walk(
+            &policy,
+            &r.cell,
+            |entry, _| (entry.token, entry.tree),
+            |id| policy.local_token(id).map(|token| (token, TreeId::NONE)),
+            |version, _| (version.token, TreeId::NONE),
+        );
+        if token != r.token {
+            return Err(ConflictSite { cell: r.cell.id(), writer_tree });
         }
     }
     Ok(())

@@ -48,9 +48,25 @@
 //! names the tree whose entries currently occupy the list, maintained when
 //! the [`TentativeGuard`] unlocks. Top-level readers and sub-transactions of
 //! other trees therefore never contend on the mutex.
+//!
+//! # Layout: one cache line per box
+//!
+//! A `VBoxCell` is 56 bytes, laid out in declaration order (`repr(C)`):
+//! head pointer, owner tag, structural flag, tentative mutex. Its `Arc`
+//! allocation — 16 bytes of reference counts, then the cell — is 72 bytes
+//! at 8-byte alignment, and the words a read touches (the counts when the
+//! read is recorded, the head, and the owner tag when the policy scans
+//! tentative lists) are its first 32 bytes: one cache line for any
+//! allocation that does not start in the last 16 bytes of a line. The head
+//! is deliberately *not* cache-padded. Padding it to 128 bytes made each
+//! allocation 384 bytes at 128-byte alignment and put the counts, the head
+//! and the owner tag on three different lines; on arrays of boxes larger
+//! than the caches that cost far more in misses than it saved in false
+//! sharing (DESIGN.md §3.1 has the measurements). The words a read loads
+//! are written only by commits, trims and tentative-list owners, and those
+//! writes change the very data the reader is about to load.
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
-use crossbeam_utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
 use std::fmt;
 use std::marker::PhantomData;
@@ -187,17 +203,20 @@ impl Drop for ListOpGuard<'_> {
     }
 }
 
-/// The untyped storage shared by all views of one `VBox`.
+/// The untyped storage shared by all views of one `VBox`. Declaration order
+/// is the layout: the words every read loads come first (module docs).
+#[repr(C)]
 pub struct VBoxCell {
-    /// Newest committed version; never null. Cache-padded so the hot read
-    /// load does not false-share with the tentative mutex or owner tag.
-    head: CachePadded<Atomic<PermVersion>>,
-    /// Serializes GC trims and out-of-order splices (see module docs).
-    list_op: AtomicBool,
+    /// Newest committed version; never null. Unpadded, on the same line as
+    /// the owner tag and (usually) the `Arc` counts: one line per read (see
+    /// the module docs on layout).
+    head: Atomic<PermVersion>,
     /// Tree whose entries currently occupy the tentative list:
     /// [`TENTATIVE_NONE`] when empty, the tree's raw id when uniform,
     /// [`TENTATIVE_MIXED`] otherwise. Maintained by [`TentativeGuard`].
     tentative_owner: AtomicU64,
+    /// Serializes GC trims and out-of-order splices (see module docs).
+    list_op: AtomicBool,
     tentative: Mutex<Vec<TentativeEntry>>,
 }
 
@@ -245,14 +264,14 @@ impl VBoxCell {
     /// Creates a cell whose initial value committed at version 0.
     pub fn new(initial: Val) -> Arc<VBoxCell> {
         Arc::new(VBoxCell {
-            head: CachePadded::new(Atomic::new(PermVersion {
+            head: Atomic::new(PermVersion {
                 version: 0,
                 token: new_write_token(),
                 value: initial,
                 next: Atomic::null(),
-            })),
-            list_op: AtomicBool::new(false),
+            }),
             tentative_owner: AtomicU64::new(TENTATIVE_NONE),
+            list_op: AtomicBool::new(false),
             tentative: Mutex::new(Vec::new()),
         })
     }
@@ -278,21 +297,33 @@ impl VBoxCell {
     /// [`VBoxCell::read_at`], also reporting which path served the read —
     /// the wait-free head check or the lock-free list walk.
     pub fn read_at_traced(&self, snapshot: Version) -> (Val, WriteToken, ReadPath) {
+        self.with_version_at(snapshot, |v, path| (v.value.clone(), v.token, path))
+    }
+
+    /// Applies `f` to the most recent committed version at or below
+    /// `snapshot`, in place under an epoch pin, together with the path that
+    /// found it. Callers that need only the token (validation) read it
+    /// without touching the value's reference count.
+    ///
+    /// # Panics
+    /// As [`VBoxCell::read_at`].
+    #[inline]
+    pub fn with_version_at<R>(
+        &self,
+        snapshot: Version,
+        f: impl FnOnce(&PermVersion, ReadPath) -> R,
+    ) -> R {
         let guard = epoch::pin();
-        let head = self.head.load(Ordering::Acquire, &guard);
-        // SAFETY: `head` is never null (cells are born with their initial
-        // version and trims always retain the keep node) and is protected by
-        // the pin above.
-        let node = unsafe { head.deref() };
+        let node = self.head_ref(&guard);
         if node.version <= snapshot {
-            return (node.value.clone(), node.token, ReadPath::Fast);
+            return f(node, ReadPath::Fast);
         }
         let mut cur = node.next.load(Ordering::Acquire, &guard);
         // SAFETY: loaded under the pin from a reachable node; trimmed
         // suffixes are retired, not freed, until every pin of their era ends.
         while let Some(n) = unsafe { cur.as_ref() } {
             if n.version <= snapshot {
-                return (n.value.clone(), n.token, ReadPath::Slow);
+                return f(n, ReadPath::Slow);
             }
             cur = n.next.load(Ordering::Acquire, &guard);
         }
@@ -620,6 +651,9 @@ mod tests {
         // Older snapshot: list walk.
         assert_eq!(c.read_at_traced(4).2, ReadPath::Slow);
         assert_eq!(*downcast::<u32>(c.read_at_traced(4).0), 0);
+        // The in-place visitor behind both lands on the same versions.
+        assert_eq!(c.with_version_at(100, |v, p| (v.version, p)), (5, ReadPath::Fast));
+        assert_eq!(c.with_version_at(4, |v, p| (v.version, p)), (0, ReadPath::Slow));
     }
 
     #[test]
@@ -745,6 +779,15 @@ mod tests {
         c.tentative_lock().clear();
         assert!(c.tentative_is_empty());
         assert!(!c.tentative_scan_needed(Some(mine)));
+    }
+
+    #[test]
+    fn cell_fits_one_cache_line() {
+        // The layout the read path is sized for (module docs): an unpadded
+        // cell whose `Arc` allocation is one line plus a word, not the
+        // 384-byte, 128-aligned block a cache-padded head produced.
+        assert!(std::mem::size_of::<VBoxCell>() <= 64, "{}", std::mem::size_of::<VBoxCell>());
+        assert!(std::mem::align_of::<VBoxCell>() <= 8, "{}", std::mem::align_of::<VBoxCell>());
     }
 
     #[test]

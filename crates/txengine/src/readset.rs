@@ -66,6 +66,11 @@ impl ReadSet {
         ReadSet::default()
     }
 
+    /// An empty read-set with room for `n` distinct cells.
+    pub fn with_capacity(n: usize) -> ReadSet {
+        ReadSet { map: FxHashMap::with_capacity_and_hasher(n, Default::default()) }
+    }
+
     /// Records a read unless the cell was already observed.
     pub fn record(&mut self, record: ReadRecord) {
         self.map.entry(record.cell.id()).or_insert(record);
@@ -182,6 +187,11 @@ impl WriteSet {
     /// The buffered value and token for `id`, if any.
     pub fn get(&self, id: CellId) -> Option<(Val, WriteToken)> {
         self.map.get(&id).map(|e| (e.value.clone(), e.token))
+    }
+
+    /// The token of the buffered write for `id`, if any (no value clone).
+    pub fn token(&self, id: CellId) -> Option<WriteToken> {
+        self.map.get(&id).map(|e| e.token)
     }
 
     /// Whether `id` has a buffered write.
